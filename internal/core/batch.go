@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/slm"
 )
 
 // BatchResult is one triple's outcome from ScoreBatch. Items fail
@@ -84,13 +82,11 @@ func (d *Detector) ScoreBatch(ctx context.Context, triples []Triple, workers int
 			defer wg.Done()
 			for j := range ch {
 				t := triples[j.ti]
-				p, err := d.models[j.mi].YesProbability(ctx, slm.VerifyRequest{
-					Question: t.Question, Context: t.Context, Claim: split[j.ti][j.si],
-				})
+				p, err := yesProbability(ctx, d.models[j.mi], t.Question, t.Context, split[j.ti][j.si])
 				if err != nil {
 					mu.Lock()
 					if results[j.ti].Err == nil {
-						results[j.ti].Err = fmt.Errorf("core: model %s: %w", d.models[j.mi].Name(), err)
+						results[j.ti].Err = fmt.Errorf("core: %w", err)
 					}
 					mu.Unlock()
 					continue

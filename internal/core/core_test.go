@@ -454,3 +454,50 @@ func TestMeanStrings(t *testing.T) {
 		t.Error("Means() must enumerate all five aggregations")
 	}
 }
+
+// TestNonFiniteProbabilityRejected: a custom model returning NaN or
+// ±Inf fails Score and Calibrate with ErrNonFiniteProbability naming
+// the model, and the normalizer's moments are left exactly as they
+// were — one bad value must not poison every later verdict.
+func TestNonFiniteProbabilityRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		d, err := NewDetector("nonfinite", Config{Models: []slm.Model{
+			slm.Constant{ModelName: "good", P: 0.6},
+			slm.Constant{ModelName: "bad", P: bad},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.Scaler().(*Normalizer)
+		for _, p := range []float64{0.2, 0.5, 0.9} {
+			n.Observe("good", p)
+			n.Observe("bad", p)
+		}
+		moments := func() [2]any {
+			g, _ := n.Moments("good")
+			b, _ := n.Moments("bad")
+			return [2]any{g, b}
+		}
+		before := moments()
+		ctx := context.Background()
+
+		_, err = d.Score(ctx, "q", detCtx, "The hours are 9 AM to 5 PM.")
+		if !errors.Is(err, ErrNonFiniteProbability) || !strings.Contains(err.Error(), "bad") {
+			t.Fatalf("P=%v: Score err = %v, want ErrNonFiniteProbability naming model bad", bad, err)
+		}
+		if after := moments(); after != before {
+			t.Fatalf("P=%v: Score changed moments: %v -> %v", bad, before, after)
+		}
+
+		err = d.Calibrate(ctx, []Triple{{"q", detCtx, "The hours are 9 AM to 5 PM."}})
+		if !errors.Is(err, ErrNonFiniteProbability) || !strings.Contains(err.Error(), "bad") {
+			t.Fatalf("P=%v: Calibrate err = %v, want ErrNonFiniteProbability naming model bad", bad, err)
+		}
+		if after := moments(); after != before {
+			t.Fatalf("P=%v: Calibrate changed moments: %v -> %v", bad, before, after)
+		}
+		if n.Frozen() {
+			t.Fatalf("P=%v: failed Calibrate froze the normalizer", bad)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -176,6 +177,27 @@ func (v Verdict) IsCorrect(threshold float64) bool { return v.Score > threshold 
 // sentences.
 var ErrEmptyResponse = errors.New("core: response has no checkable sentences")
 
+// ErrNonFiniteProbability reports a model that returned NaN or ±Inf as
+// P(yes). Such a value is rejected before it reaches the scaler: fed
+// to an online Normalizer it would poison the moments for every later
+// request, and past the positivity adjustment it would surface as a
+// verdict score.
+var ErrNonFiniteProbability = errors.New("non-finite probability")
+
+// yesProbability asks m for P(token1 = yes), naming the model on every
+// error and rejecting non-finite values with ErrNonFiniteProbability.
+// Every model call of the detector goes through it.
+func yesProbability(ctx context.Context, m slm.Model, question, contextText, claim string) (float64, error) {
+	p, err := m.YesProbability(ctx, slm.VerifyRequest{Question: question, Context: contextText, Claim: claim})
+	if err != nil {
+		return 0, fmt.Errorf("model %s: %w", m.Name(), err)
+	}
+	if math.IsNaN(p) || math.IsInf(p, 0) {
+		return 0, fmt.Errorf("model %s: %w %v", m.Name(), ErrNonFiniteProbability, p)
+	}
+	return p, nil
+}
+
 // Score runs the full pipeline of Fig. 2 (b) for one
 // (question, context, response) triple.
 func (d *Detector) Score(ctx context.Context, question, contextText, response string) (Verdict, error) {
@@ -195,11 +217,9 @@ func (d *Detector) Score(ctx context.Context, question, contextText, response st
 		for si, sentence := range sentences {
 			raw[si] = make([]float64, len(d.models))
 			for mi, m := range d.models {
-				p, err := m.YesProbability(ctx, slm.VerifyRequest{
-					Question: question, Context: contextText, Claim: sentence,
-				})
+				p, err := yesProbability(ctx, m, question, contextText, sentence)
 				if err != nil {
-					return Verdict{}, fmt.Errorf("core: model %s: %w", m.Name(), err)
+					return Verdict{}, fmt.Errorf("core: %w", err)
 				}
 				raw[si][mi] = p
 			}
@@ -232,12 +252,10 @@ func (d *Detector) scoreParallel(ctx context.Context, question, contextText stri
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				p, err := d.models[j.mi].YesProbability(cctx, slm.VerifyRequest{
-					Question: question, Context: contextText, Claim: sentences[j.si],
-				})
+				p, err := yesProbability(cctx, d.models[j.mi], question, contextText, sentences[j.si])
 				if err != nil {
 					errOnce.Do(func() {
-						firstErr = fmt.Errorf("core: model %s: %w", d.models[j.mi].Name(), err)
+						firstErr = fmt.Errorf("core: %w", err)
 						cancel()
 					})
 					continue
@@ -292,21 +310,28 @@ func (d *Detector) assemble(sentences []string, raw [][]float64) (Verdict, error
 // Calibrate runs the detector's models over the given triples purely to
 // accumulate normalization moments (the "previous responses" of Eq. 4),
 // then freezes the scaler. It is the recommended preparation step
-// before batch evaluation or parallel scoring.
+// before batch evaluation or parallel scoring. Every probability is
+// collected before any is observed, so a failed calibration leaves the
+// scaler untouched and unfrozen.
 func (d *Detector) Calibrate(ctx context.Context, triples []Triple) error {
+	type observation struct {
+		model string
+		p     float64
+	}
+	var obs []observation
 	for _, t := range triples {
-		sentences := d.split(t.Response)
-		for _, sentence := range sentences {
+		for _, sentence := range d.split(t.Response) {
 			for _, m := range d.models {
-				p, err := m.YesProbability(ctx, slm.VerifyRequest{
-					Question: t.Question, Context: t.Context, Claim: sentence,
-				})
+				p, err := yesProbability(ctx, m, t.Question, t.Context, sentence)
 				if err != nil {
-					return fmt.Errorf("core: calibrate: model %s: %w", m.Name(), err)
+					return fmt.Errorf("core: calibrate: %w", err)
 				}
-				d.scale.Observe(m.Name(), p)
+				obs = append(obs, observation{m.Name(), p})
 			}
 		}
+	}
+	for _, o := range obs {
+		d.scale.Observe(o.model, o.p)
 	}
 	d.scale.Freeze()
 	return nil

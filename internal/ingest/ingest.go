@@ -16,7 +16,7 @@
 // Backpressure is credit-based: a fixed pool of MaxPending chunk
 // credits bounds every chunk buffered or in flight anywhere in the
 // pipeline — queued between stages, accumulating in the batch
-// assembler, or inside a store AddBulk call (embedding + index write +
+// assembler, or inside a store write call (embedding + index write +
 // WAL append). When the store slows down (a cold shard, a saturated
 // disk, a slow fsync policy), credits stop returning, the chunk
 // workers block, the bounded doc channel fills, and the reader stops
@@ -51,8 +51,7 @@ import (
 )
 
 // Doc is one parsed NDJSON line. Meta rides every chunk of the
-// document into the store (stores that implement the docs write
-// surface; see Store). Meta values must be JSON strings — any other
+// document into the store. Meta values must be JSON strings — any other
 // type fails the line rather than being silently dropped or coerced.
 type Doc struct {
 	Text string            `json:"text"`
@@ -62,30 +61,11 @@ type Doc struct {
 // Store is the indexing surface the pipeline writes to — implemented
 // by serve.ShardedDB (in-process shards) and serve.RemoteStore
 // (cluster routing), so streamed batches reach cluster mode through
-// the same interface as every other write.
+// the same interface as every other write. Each batch carries every
+// chunk's collection and metadata, and is written under the stream's
+// context so the request ID (and any deadline) rides cluster-mode
+// writes onto the shard nodes.
 type Store interface {
-	AddBulk(texts []string) ([]int64, error)
-}
-
-// ctxStore is the optional context-aware write surface. When the
-// store implements it, batches are written under the stream's context
-// so the request ID (and any deadline) rides cluster-mode writes onto
-// the shard nodes.
-type ctxStore interface {
-	AddBulkContext(ctx context.Context, texts []string) ([]int64, error)
-}
-
-// docsStore / ctxDocsStore are the optional document write surfaces:
-// batches carry each chunk's collection and metadata instead of bare
-// texts. Both serve stores implement them; a texts-only Store is
-// still accepted but can only be used for meta-less default-collection
-// streams (Run rejects the combination up front rather than dropping
-// fields on the floor).
-type docsStore interface {
-	AddBulkDocs(docs []vecdb.Document) ([]int64, error)
-}
-
-type ctxDocsStore interface {
 	AddBulkDocsContext(ctx context.Context, docs []vecdb.Document) ([]int64, error)
 }
 
@@ -109,8 +89,7 @@ type Config struct {
 	// Store receives the chunk batches.
 	Store Store
 	// Collection scopes every document in the stream to one collection
-	// (tenant); empty means the default collection. Requires a store
-	// implementing the docs write surface when non-empty.
+	// (tenant); empty means the default collection.
 	Collection string
 	// Chunker splits documents; required.
 	Chunker Chunker
@@ -312,22 +291,15 @@ type chunkedDoc struct {
 }
 
 // Run streams r through the pipeline: parse → chunk (Workers-wide) →
-// adaptive batch → Store.AddBulk. It blocks until the stream is fully
-// indexed, the context dies (client disconnect), or the stream is
-// aborted by a store or format error, and always returns the stats
-// accumulated so far. progress, when non-nil, is called with a
+// adaptive batch → Store.AddBulkDocsContext. It blocks until the
+// stream is fully indexed, the context dies (client disconnect), or
+// the stream is aborted by a store or format error, and always returns
+// the stats accumulated so far. progress, when non-nil, is called with a
 // snapshot every ProgressEvery while the stream runs (from a single
 // goroutine; it must not block for long or heartbeats skew).
 func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (Stats, error) {
 	if cfg.Store == nil || cfg.Chunker == nil {
 		return Stats{}, errors.New("ingest: nil store or chunker")
-	}
-	if cfg.Collection != "" {
-		if _, ok := cfg.Store.(ctxDocsStore); !ok {
-			if _, ok := cfg.Store.(docsStore); !ok {
-				return Stats{}, errors.New("ingest: store cannot scope documents to a collection")
-			}
-		}
 	}
 	cfg = cfg.withDefaults()
 
@@ -378,13 +350,6 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 	chunkH := cfg.Telemetry.Histogram("stage_duration_seconds",
 		"Hot-path stage latency in seconds.", nil, telemetry.L("stage", "ingest_chunk"))
 
-	// canDocs reports whether the store can persist per-chunk metadata;
-	// without it, a line carrying meta is malformed rather than having
-	// its metadata silently dropped.
-	_, canCtxDocs := cfg.Store.(ctxDocsStore)
-	_, canPlainDocs := cfg.Store.(docsStore)
-	canDocs := canCtxDocs || canPlainDocs
-
 	// Stage 2: parse+chunk workers. JSON decoding runs here rather
 	// than on the reader goroutine so it parallelizes across cores —
 	// the reader stays a thin byte pump. Each worker acquires chunk
@@ -410,9 +375,6 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 			for line := range lines {
 				chunkStart := time.Now()
 				d, err := parseLine(line)
-				if err == nil && len(d.Meta) > 0 && !canDocs {
-					err = errors.New("ingest: store cannot persist metadata")
-				}
 				if err != nil {
 					if !lineFailed(err) {
 						return
@@ -459,7 +421,7 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 
 	// Stage 3: the assembler — single goroutine batching chunked docs
 	// up to the controller's live limit (cut at document boundaries, so
-	// one document's chunks always land in one AddBulk and Indexed
+	// one document's chunks always land in one store write and Indexed
 	// counts whole documents) and flushing through the store.
 	var assembler sync.WaitGroup
 	assembler.Add(1)
@@ -478,26 +440,7 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 				return
 			}
 			n, nd := len(batch), batchDocs
-			var err error
-			switch st := cfg.Store.(type) {
-			case ctxDocsStore:
-				_, err = st.AddBulkDocsContext(ctx, batch)
-			case docsStore:
-				_, err = st.AddBulkDocs(batch)
-			default:
-				// Texts-only store: reachable only for meta-less
-				// default-collection streams (validated up front and per
-				// line above).
-				texts := make([]string, len(batch))
-				for i, d := range batch {
-					texts[i] = d.Text
-				}
-				if cs, ok := cfg.Store.(ctxStore); ok {
-					_, err = cs.AddBulkContext(ctx, texts)
-				} else {
-					_, err = cfg.Store.AddBulk(texts)
-				}
-			}
+			_, err := cfg.Store.AddBulkDocsContext(ctx, batch)
 			gate.release(n)
 			batch, batchDocs = nil, 0
 			if err != nil {

@@ -15,10 +15,10 @@ import (
 	"repro/internal/vecdb"
 )
 
-// memStore collects AddBulk batches, optionally sleeping per call to
+// memStore collects write batches, optionally sleeping per call to
 // simulate a slow index (cold shard, saturated disk, slow WAL fsync).
-// It also implements the docs write surface, recording each chunk's
-// collection and metadata, so streams carrying meta are accepted.
+// It records each chunk's text per batch and its collection and
+// metadata in docs.
 type memStore struct {
 	delay time.Duration
 	fail  error
@@ -29,34 +29,23 @@ type memStore struct {
 	chunks  atomic.Uint64
 }
 
-func (m *memStore) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
-	texts := make([]string, len(docs))
-	for i, d := range docs {
-		texts[i] = d.Text
-	}
-	ids, err := m.AddBulk(texts)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.docs = append(m.docs, docs...)
-	m.mu.Unlock()
-	return ids, nil
-}
-
-func (m *memStore) AddBulk(texts []string) ([]int64, error) {
+func (m *memStore) AddBulkDocsContext(_ context.Context, docs []vecdb.Document) ([]int64, error) {
 	if m.delay > 0 {
 		time.Sleep(m.delay)
 	}
 	if m.fail != nil {
 		return nil, m.fail
 	}
+	texts := make([]string, len(docs))
+	for i, d := range docs {
+		texts[i] = d.Text
+	}
 	m.mu.Lock()
-	m.batches = append(m.batches, append([]string(nil), texts...))
+	m.batches = append(m.batches, texts)
+	m.docs = append(m.docs, docs...)
 	m.mu.Unlock()
-	ids := make([]int64, len(texts))
-	m.chunks.Add(uint64(len(texts)))
-	return ids, nil
+	m.chunks.Add(uint64(len(docs)))
+	return make([]int64, len(docs)), nil
 }
 
 func (m *memStore) texts() []string {
@@ -256,7 +245,7 @@ func TestSlowStoreThrottlesProducer(t *testing.T) {
 		Chunker:    oneChunk{},
 		Workers:    workers,
 		MaxPending: maxPending,
-		// Small static batches keep AddBulk calls frequent so the store
+		// Small static batches keep store writes frequent so the store
 		// delay actually throttles.
 		Controller: adaptive.New(adaptive.Config{MaxBatch: 4, Static: true, MaxWait: time.Millisecond}),
 	}, r, nil)
@@ -476,16 +465,5 @@ func TestMetaStrictAndStored(t *testing.T) {
 		default:
 			t.Fatalf("unexpected chunk %q", d.Text)
 		}
-	}
-}
-
-// TestCollectionNeedsDocsStore pins the up-front rejection: a
-// collection-scoped stream into a store without the docs write surface
-// fails before any byte is read.
-func TestCollectionNeedsDocsStore(t *testing.T) {
-	type textsOnly struct{ Store }
-	st := textsOnly{Store: &memStore{}}
-	if _, err := Run(context.Background(), Config{Store: st, Chunker: oneChunk{}, Collection: "t"}, ndjson(`"x"`), nil); err == nil {
-		t.Fatal("collection-scoped stream accepted by texts-only store")
 	}
 }

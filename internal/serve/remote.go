@@ -90,67 +90,29 @@ func (s *RemoteStore) SetTelemetry(reg *telemetry.Registry) {
 		"Hot-path stage latency in seconds.", nil, telemetry.L("stage", "embed")))
 }
 
-// Add embeds-on-arrival is the node's job: the mutation carries text,
-// and the owning node embeds with the same deterministic embedder the
-// router uses for queries.
+// Add stores one default-collection text. Embedding on arrival is the
+// node's job: the mutation carries text, and the owning node embeds
+// with the same deterministic embedder the router uses for queries.
 func (s *RemoteStore) Add(text string, meta map[string]string) (int64, error) {
-	id := s.nextID.Add(1)
-	ctx, cancel := s.opCtx(context.Background())
-	defer cancel()
-	m := vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text, Meta: meta}
-	if err := s.router.Apply(ctx, s.router.ShardFor(id), []vecdb.Mutation{m}); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return firstID(s.AddBulkDocs([]vecdb.Document{{Text: text, Meta: meta}}))
 }
 
-// AddBulk assigns IDs in input order — the same allocation a
-// ShardedDB performs — groups the adds by owning shard, and applies
-// each group in one shard RPC, all shards in flight at once.
+// AddBulk stores a batch of default-collection texts (see
+// AddBulkDocsContext).
 func (s *RemoteStore) AddBulk(texts []string) ([]int64, error) {
-	return s.AddBulkContext(context.Background(), texts)
+	return s.AddBulkDocsContext(context.Background(), textDocs(texts))
 }
 
-// AddBulkContext is AddBulk under the caller's context, so streamed
-// ingest batches carry their request ID (and any deadline) onto the
-// shard-node writes.
-func (s *RemoteStore) AddBulkContext(parent context.Context, texts []string) ([]int64, error) {
-	if len(texts) == 0 {
-		return nil, nil
-	}
-	n := s.router.Shards()
-	ids := make([]int64, len(texts))
-	groups := make([][]vecdb.Mutation, n)
-	for i, text := range texts {
-		id := s.nextID.Add(1)
-		ids[i] = id
-		si := cluster.ShardIndex(id, n)
-		groups[si] = append(groups[si], vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text})
-	}
-	ctx, cancel := s.opCtx(parent)
-	defer cancel()
-	errs := make([]error, n)
-	parallel.ForWorkers(n, n, func(si int) {
-		if len(groups[si]) == 0 {
-			return
-		}
-		errs[si] = s.router.Apply(ctx, si, groups[si])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
-}
-
-// AddBulkDocs stores a batch of documents with collection and
-// metadata, same ID allocation and shard grouping as AddBulk.
+// AddBulkDocs is AddBulkDocsContext without a request context.
 func (s *RemoteStore) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
 	return s.AddBulkDocsContext(context.Background(), docs)
 }
 
-// AddBulkDocsContext is AddBulkDocs under the caller's context.
+// AddBulkDocsContext is the store's one write path. It assigns IDs in
+// input order — the same allocation a ShardedDB performs — groups the
+// adds by owning shard, and applies each group in one shard RPC, all
+// shards in flight at once. The caller's context carries its request
+// ID (and any deadline) onto the shard-node writes.
 func (s *RemoteStore) AddBulkDocsContext(parent context.Context, docs []vecdb.Document) ([]int64, error) {
 	if len(docs) == 0 {
 		return nil, nil
@@ -168,10 +130,9 @@ func (s *RemoteStore) AddBulkDocsContext(parent context.Context, docs []vecdb.Do
 	defer cancel()
 	errs := make([]error, n)
 	parallel.ForWorkers(n, n, func(si int) {
-		if len(groups[si]) == 0 {
-			return
+		if len(groups[si]) > 0 {
+			errs[si] = s.router.Apply(ctx, si, groups[si])
 		}
-		errs[si] = s.router.Apply(ctx, si, groups[si])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -181,47 +142,32 @@ func (s *RemoteStore) AddBulkDocsContext(parent context.Context, docs []vecdb.Do
 	return ids, nil
 }
 
-// Search embeds the query once (through the router-side cache) and
-// fans the vector out.
+// Search is SearchFilteredContext, unscoped and without a request
+// context.
 func (s *RemoteStore) Search(query string, k int) ([]vecdb.Hit, error) {
-	return s.SearchContext(context.Background(), query, k)
+	return s.SearchFilteredContext(context.Background(), query, k, vecdb.Filter{})
 }
 
-// SearchContext is Search under the caller's context: the request ID
-// and trace ride the shard RPCs (X-Request-ID / traceparent) and the
-// caller's deadline, if sooner than opTimeout, bounds them
-// (X-Deadline-Ms).
+// SearchContext is the unscoped SearchFilteredContext, implementing
+// rag.ContextSearcher.
 func (s *RemoteStore) SearchContext(parent context.Context, query string, k int) ([]vecdb.Hit, error) {
 	return s.SearchFilteredContext(parent, query, k, vecdb.Filter{})
 }
 
-// SearchFilteredContext embeds the query (namespaced to the filter's
-// collection in the router-side cache) and fans it out with the filter
-// pushed down to every shard node.
+// SearchFilteredContext is the store's one text-search path: it embeds
+// the query (namespaced to the filter's collection in the router-side
+// cache) and fans it out with the filter pushed down to every shard
+// node. The request ID and trace ride the shard RPCs (X-Request-ID /
+// traceparent) and the caller's deadline, if sooner than opTimeout,
+// bounds them (X-Deadline-Ms).
 func (s *RemoteStore) SearchFilteredContext(parent context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
-	_, sp := telemetry.StartSpan(parent, "embed")
-	h := s.embedH.Load()
-	start := time.Now()
-	vec, err := s.embedIn(f.Collection, query)
-	sp.End(err)
+	vec, err := embedQuery(parent, s.embed, s.embedH.Load(), f.Collection, query)
 	if err != nil {
-		return nil, fmt.Errorf("serve: embed query: %w", err)
+		return nil, err
 	}
-	h.ObserveSinceCtx(parent, start)
 	ctx, cancel := s.opCtx(parent)
 	defer cancel()
 	return s.router.SearchVector(ctx, vec, k, f)
-}
-
-// embedIn mirrors ShardedDB.embedIn: collection-namespaced cache key,
-// same raw-text embedding.
-func (s *RemoteStore) embedIn(collection, query string) ([]float32, error) {
-	if ce, ok := s.embed.(interface {
-		EmbedIn(collection, text string) ([]float32, error)
-	}); ok {
-		return ce.EmbedIn(collection, query)
-	}
-	return s.embed.Embed(query)
 }
 
 // SearchVector fans the query out to every shard node and merges,
@@ -317,11 +263,9 @@ func (s *RemoteStore) Close() error {
 // PersistStats is zero: the router owns no durable state.
 func (s *RemoteStore) PersistStats() PersistStats { return PersistStats{} }
 
+// IndexStats is zero: the indexes live on the shard nodes.
+func (s *RemoteStore) IndexStats() IndexStats { return IndexStats{} }
+
 // Available feeds the admission gate: ErrUnavailable when no shard
 // has a healthy backend.
 func (s *RemoteStore) Available() error { return s.router.Available() }
-
-var (
-	_ Store                = (*RemoteStore)(nil)
-	_ availabilityReporter = (*RemoteStore)(nil)
-)

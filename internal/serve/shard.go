@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/rag"
+	"repro/internal/parallel"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
@@ -208,56 +207,37 @@ func applyMutations(db *vecdb.DB, ms []vecdb.Mutation) error {
 	return db.ApplyAll(ms)
 }
 
-// Add embeds and stores text on the shard owned by the new document's
-// ID, implementing rag.Store.
+// Add embeds and stores one default-collection text, implementing
+// rag.Store.
 func (s *ShardedDB) Add(text string, meta map[string]string) (int64, error) {
-	id := s.nextID.Add(1)
-	m := vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text, Meta: meta}
-	if err := s.apply(s.shardIndex(id), []vecdb.Mutation{m}); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return firstID(s.AddBulkDocs([]vecdb.Document{{Text: text, Meta: meta}}))
 }
 
-// AddBulk stores a batch of texts, returning their IDs in input order.
-// Writes are grouped by owning shard and applied with one lock
-// acquisition, one concurrent embedding pass, and (on a durable store)
-// one journal append batch per shard — shards proceed in parallel. On
-// error, shards already applied stay applied; callers treat the batch
-// as all-or-retry.
+// AddBulk stores a batch of default-collection texts (see
+// AddBulkDocsContext).
 func (s *ShardedDB) AddBulk(texts []string) ([]int64, error) {
-	if len(texts) == 0 {
-		return nil, nil
-	}
-	ids := make([]int64, len(texts))
-	groups := make([][]vecdb.Mutation, len(s.shards))
-	for i, text := range texts {
-		id := s.nextID.Add(1)
-		ids[i] = id
-		si := s.shardIndex(id)
-		groups[si] = append(groups[si], vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text})
-	}
-	if err := s.applyGroups(groups); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return s.AddBulkDocsContext(context.Background(), textDocs(texts))
 }
 
-// AddBulkContext is AddBulk checking ctx before starting — the
-// ingest pipeline's write path, so an aborted stream stops spending
-// embedding work at the next batch boundary.
-func (s *ShardedDB) AddBulkContext(ctx context.Context, texts []string) ([]int64, error) {
+// AddBulkDocs is AddBulkDocsContext without a request context.
+func (s *ShardedDB) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
+	return s.AddBulkDocsContext(context.Background(), docs)
+}
+
+// AddBulkDocsContext is the store's one write path. It stores a batch
+// of documents carrying collection and metadata, returning their IDs
+// in input order; IDs are allocated by the store (any ID on the input
+// documents is ignored). Writes are grouped by owning shard and
+// applied with one lock acquisition, one concurrent embedding pass,
+// and (on a durable store) one journal append batch per shard — shards
+// proceed in parallel. ctx is checked before starting, so an aborted
+// ingest stream stops spending embedding work at the next batch
+// boundary. On error, shards already applied stay applied; callers
+// treat the batch as all-or-retry.
+func (s *ShardedDB) AddBulkDocsContext(ctx context.Context, docs []vecdb.Document) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.AddBulk(texts)
-}
-
-// AddBulkDocs stores a batch of documents carrying collection and
-// metadata, returning their IDs in input order. IDs are allocated by
-// the store (any ID on the input documents is ignored); grouping and
-// journaling behave exactly like AddBulk.
-func (s *ShardedDB) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
 	if len(docs) == 0 {
 		return nil, nil
 	}
@@ -275,41 +255,26 @@ func (s *ShardedDB) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
 	return ids, nil
 }
 
-// AddBulkDocsContext is AddBulkDocs checking ctx first — the ingest
-// pipeline's docs-with-metadata write path.
-func (s *ShardedDB) AddBulkDocsContext(ctx context.Context, docs []vecdb.Document) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.AddBulkDocs(docs)
-}
-
 // applyGroups applies per-shard mutation groups in parallel, returning
-// the first error (shards already applied stay applied).
+// the first error (shards already applied stay applied). A batch that
+// touches a single shard applies on the caller's goroutine.
 func (s *ShardedDB) applyGroups(groups [][]vecdb.Mutation) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var touched []int
 	for si, ms := range groups {
-		if len(ms) == 0 {
-			continue
+		if len(ms) > 0 {
+			touched = append(touched, si)
 		}
-		wg.Add(1)
-		go func(si int, ms []vecdb.Mutation) {
-			defer wg.Done()
-			if err := s.apply(si, ms); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(si, ms)
 	}
-	wg.Wait()
-	return firstErr
+	errs := make([]error, len(touched))
+	parallel.ForWorkers(len(touched), len(touched), func(i int) {
+		errs[i] = s.apply(touched[i], groups[touched[i]])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ApplyAll executes a batch of externally-journaled mutations with
@@ -344,29 +309,7 @@ func (s *ShardedDB) ApplyAll(ms []vecdb.Mutation) error {
 			break
 		}
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for si, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int, group []vecdb.Mutation) {
-			defer wg.Done()
-			if err := s.apply(si, group); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(si, group)
-	}
-	wg.Wait()
-	return firstErr
+	return s.applyGroups(groups)
 }
 
 // NextID reports the next ID the store would allocate — the high-water
@@ -387,11 +330,25 @@ func (s *ShardedDB) Get(id int64) (vecdb.Document, error) {
 	return s.shardFor(id).Get(id)
 }
 
+// GetContext is Get after a ctx check (the lookup itself never
+// blocks).
+func (s *ShardedDB) GetContext(ctx context.Context, id int64) (vecdb.Document, error) {
+	if err := ctx.Err(); err != nil {
+		return vecdb.Document{}, err
+	}
+	return s.Get(id)
+}
+
 // Delete removes a document from its owning shard, journaling the
 // removal on a durable store. A missing ID reports ErrNotFound.
-func (s *ShardedDB) Delete(id int64) error {
-	m := vecdb.Mutation{Op: vecdb.OpDelete, ID: id}
-	return s.apply(s.shardIndex(id), []vecdb.Mutation{m})
+func (s *ShardedDB) Delete(id int64) error { return s.DeleteIn("", id) }
+
+// DeleteContext is Delete after a ctx check.
+func (s *ShardedDB) DeleteContext(ctx context.Context, id int64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return s.Delete(id)
 }
 
 // DeleteIn is Delete scoped to a collection: a document that exists
@@ -442,56 +399,43 @@ func (s *ShardedDB) ShardSizes() []int {
 // NewShardedDefault).
 func (s *ShardedDB) Embedder() vecdb.Embedder { return s.embed }
 
-// Search embeds the query once and fans it out, implementing
-// rag.Store.
+// Search is SearchFilteredContext, unscoped and without a request
+// context, implementing rag.Store.
 func (s *ShardedDB) Search(query string, k int) ([]vecdb.Hit, error) {
-	t := s.tele.Load()
-	if t == nil {
-		vec, err := s.embed.Embed(query)
-		if err != nil {
-			return nil, fmt.Errorf("serve: embed query: %w", err)
-		}
-		return s.SearchVector(vec, k)
-	}
-	start := time.Now()
-	vec, err := s.embed.Embed(query)
-	if err != nil {
-		return nil, fmt.Errorf("serve: embed query: %w", err)
-	}
-	t.embed.ObserveSince(start)
-	return s.SearchVector(vec, k)
+	return s.SearchFilteredContext(context.Background(), query, k, vecdb.Filter{})
 }
 
-// SearchContext is Search honoring ctx cancellation between stages —
-// the handler-facing entry point that keeps request deadlines live on
-// the in-process store. (Shard probes themselves are CPU-bound and
-// non-blocking, so cancellation is checked at stage boundaries.) A
-// traced request additionally gets embed and shard_fanout spans, so
-// the in-process store renders the same trace shape as a cluster.
+// SearchContext is the unscoped SearchFilteredContext, implementing
+// rag.ContextSearcher.
 func (s *ShardedDB) SearchContext(ctx context.Context, query string, k int) ([]vecdb.Hit, error) {
+	return s.SearchFilteredContext(ctx, query, k, vecdb.Filter{})
+}
+
+// SearchFilteredContext is the store's one text-search path: it embeds
+// the query once (namespaced to the filter's collection in the
+// cache) and fans the vector out with the filter pushed down to every
+// shard. ctx cancellation is checked between stages (shard probes
+// themselves are CPU-bound and non-blocking). A traced request gets
+// embed and shard_fanout spans and an embed exemplar, so the
+// in-process store renders the same trace shape as a cluster.
+func (s *ShardedDB) SearchFilteredContext(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if telemetry.TraceFrom(ctx) == nil {
-		return s.Search(query, k)
+	var embedH *telemetry.Histogram
+	if t := s.tele.Load(); t != nil {
+		embedH = t.embed
 	}
-	t := s.tele.Load()
-	_, esp := telemetry.StartSpan(ctx, "embed")
-	start := time.Now()
-	vec, err := s.embed.Embed(query)
-	esp.End(err)
+	vec, err := embedQuery(ctx, s.embed, embedH, f.Collection, query)
 	if err != nil {
-		return nil, fmt.Errorf("serve: embed query: %w", err)
-	}
-	if t != nil {
-		t.embed.ObserveSinceCtx(ctx, start)
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, fsp := telemetry.StartSpan(ctx, "shard_fanout")
-	hits, err := s.SearchVector(vec, k)
-	fsp.End(err)
+	_, sp := telemetry.StartSpan(ctx, "shard_fanout")
+	hits, err := s.SearchVectorFiltered(vec, k, f)
+	sp.End(err)
 	return hits, err
 }
 
@@ -508,94 +452,35 @@ func (s *ShardedDB) SearchVector(vec []float32, k int) ([]vecdb.Hit, error) {
 // an unfiltered search over the matching subset.
 func (s *ShardedDB) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	t := s.tele.Load()
+	start := time.Now()
 	if len(s.shards) == 1 {
-		if t == nil {
-			return s.shards[0].SearchVectorFiltered(vec, k, f)
-		}
-		start := time.Now()
 		hits, err := s.shards[0].SearchVectorFiltered(vec, k, f)
-		t.search.ObserveSince(start)
+		if t != nil {
+			t.search.ObserveSince(start)
+		}
 		return hits, err
 	}
-	var fanoutStart time.Time
-	if t != nil {
-		fanoutStart = time.Now()
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
 	lists := make([][]vecdb.Hit, len(s.shards))
-	wg.Add(len(s.shards))
-	for i, sh := range s.shards {
-		go func(i int, db *vecdb.DB) {
-			defer wg.Done()
-			hits, err := db.SearchVectorFiltered(vec, k, f)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			lists[i] = hits
-		}(i, sh)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if t == nil {
-		return cluster.MergeTopK(lists, k), nil
+	errs := make([]error, len(s.shards))
+	parallel.ForWorkers(len(s.shards), len(s.shards), func(i int) {
+		lists[i], errs[i] = s.shards[i].SearchVectorFiltered(vec, k, f)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	mergeStart := time.Now()
-	t.fanout.Observe(mergeStart.Sub(fanoutStart).Seconds())
 	hits := cluster.MergeTopK(lists, k)
-	t.merge.ObserveSince(mergeStart)
+	if t != nil {
+		t.fanout.Observe(mergeStart.Sub(start).Seconds())
+		t.merge.ObserveSince(mergeStart)
+	}
 	return hits, nil
 }
 
-// SearchFilteredContext embeds the query once and fans it out with the
-// filter pushed down to every shard — the handler-facing filtered
-// search entry point.
-func (s *ShardedDB) SearchFilteredContext(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t := s.tele.Load()
-	var start time.Time
-	if t != nil {
-		start = time.Now()
-	}
-	vec, err := s.embedIn(f.Collection, query)
-	if err != nil {
-		return nil, fmt.Errorf("serve: embed query: %w", err)
-	}
-	if t != nil {
-		t.embed.ObserveSince(start)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.SearchVectorFiltered(vec, k, f)
-}
-
-// embedIn embeds through the collection-namespaced cache entry point
-// when the store's embedder has one, so two tenants with the same
-// query text keep independent cache entries (the vector itself is a
-// pure function of the text either way).
-func (s *ShardedDB) embedIn(collection, query string) ([]float32, error) {
-	if ce, ok := s.embed.(interface {
-		EmbedIn(collection, text string) ([]float32, error)
-	}); ok {
-		return ce.EmbedIn(collection, query)
-	}
-	return s.embed.Embed(query)
-}
-
-var _ rag.Store = (*ShardedDB)(nil)
+// Available reports nil: in-process shards are always reachable.
+func (s *ShardedDB) Available() error { return nil }
 
 // A ShardedDB is also a complete shard-protocol store: cmd/shardnode
 // mounts cluster.NewNodeHandler over a one-shard durable ShardedDB.

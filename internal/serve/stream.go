@@ -37,11 +37,9 @@ func (s *Server) IngestStream(ctx context.Context, r io.Reader, progress func(in
 // so two tenants can stream concurrently and filtered search keeps
 // them fully separate. Empty collection means the default collection.
 func (s *Server) IngestStreamIn(ctx context.Context, collection string, r io.Reader, progress func(ingest.Stats)) (ingest.Stats, error) {
-	if av, ok := s.store.(availabilityReporter); ok {
-		if err := av.Available(); err != nil {
-			s.unavailableShed.Inc()
-			return ingest.Stats{}, err
-		}
+	if err := s.store.Available(); err != nil {
+		s.unavailableShed.Inc()
+		return ingest.Stats{}, err
 	}
 	release, err := s.admission.Acquire(ctx)
 	if err != nil {

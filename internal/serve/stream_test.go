@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/ingest"
 )
 
 // TestIngestStreamEndToEnd: an NDJSON stream lands in the sharded
@@ -176,6 +174,3 @@ func TestIngestStreamShedsWhenOverloaded(t *testing.T) {
 type readerFunc func(p []byte) (int, error)
 
 func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
-
-var _ ingest.Store = (*ShardedDB)(nil)
-var _ ingest.Store = (*RemoteStore)(nil)
