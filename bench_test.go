@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates every table and
 // figure of the paper's evaluation (§V) as Go benchmarks, plus the
-// DESIGN.md §4 ablations. Each benchmark reports the figure's headline
+// ablations of docs/architecture.md ("Ablations"). Each benchmark reports the figure's headline
 // numbers as custom metrics (F1×1000, precision/recall×1000) so
 // `go test -bench` output doubles as the reproduction record, and
 // prints the full table once per run.
@@ -232,7 +232,7 @@ func BenchmarkFig7MeanDistributions(b *testing.B) {
 		"(b) "+experiments.FormatDistribution(har, 40))
 }
 
-// --- DESIGN.md §4 ablations ---
+// --- ablations (docs/architecture.md, "Ablations") ---
 
 // BenchmarkAblationEnsembleSize varies the number of SLMs (1, 2, 3).
 func BenchmarkAblationEnsembleSize(b *testing.B) {

@@ -132,7 +132,8 @@ func run(exp string, n int, seed uint64, workers, bins int) error {
 	return nil
 }
 
-// runAblations prints the DESIGN.md §4 studies against the partial
+// runAblations prints the ablation studies (docs/architecture.md,
+// "Ablations") against the partial
 // contrast (the hard case where design choices matter).
 func runAblations(ctx context.Context, suite *experiments.Suite) error {
 	fmt.Println("== ablations (correct vs partial) ==")

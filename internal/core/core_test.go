@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/slm"
 )
 
@@ -499,5 +500,116 @@ func TestNonFiniteProbabilityRejected(t *testing.T) {
 		if n.Frozen() {
 			t.Fatalf("P=%v: failed Calibrate froze the normalizer", bad)
 		}
+	}
+}
+
+// datasetTriples returns the (question, context, response) triples of
+// the first n default-dataset items.
+func datasetTriples(t *testing.T, n int) []Triple {
+	t.Helper()
+	set, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Triple
+	for _, it := range set.Items[:n] {
+		for _, r := range it.Responses {
+			out = append(out, Triple{it.Question, it.Context, r.Text})
+		}
+	}
+	return out
+}
+
+// TestCalibrateParallelMatchesSequential: Calibrate fans its model calls
+// out over every core, yet the normalizer's moments must equal, bit for
+// bit, those of observing each probability one after another in
+// (triple, sentence, model) order.
+func TestCalibrateParallelMatchesSequential(t *testing.T) {
+	ctx := context.Background()
+	triples := datasetTriples(t, 20)
+	models := []slm.Model{slm.NewQwen2(), slm.NewMiniCPM()}
+	d, err := NewDetector("par", Config{Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Calibrate(ctx, triples); err != nil {
+		t.Fatal(err)
+	}
+	want := NewNormalizer()
+	for _, tr := range triples {
+		for _, sentence := range SentenceSplitter(tr.Response) {
+			for _, m := range models {
+				p, err := m.YesProbability(ctx, slm.VerifyRequest{Question: tr.Question, Context: tr.Context, Claim: sentence})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Observe(m.Name(), p)
+			}
+		}
+	}
+	n := d.Scaler().(*Normalizer)
+	if !n.Frozen() {
+		t.Fatal("Calibrate did not freeze the normalizer")
+	}
+	for _, m := range models {
+		got, _ := n.Moments(m.Name())
+		exp, _ := want.Moments(m.Name())
+		same := got.N == exp.N
+		for i, v := range []float64{got.Mean, got.StdDev, got.Min, got.Max} {
+			e := []float64{exp.Mean, exp.StdDev, exp.Min, exp.Max}[i]
+			same = same && math.Float64bits(v) == math.Float64bits(e)
+		}
+		if !same || got.N == 0 {
+			t.Errorf("%s: parallel moments %+v, sequential %+v", m.Name(), got, exp)
+		}
+	}
+}
+
+// claimFailer answers 0.5 except on the claims it maps to an error.
+type claimFailer map[string]error
+
+func (claimFailer) Name() string { return "claim-failer" }
+
+func (f claimFailer) YesProbability(ctx context.Context, req slm.VerifyRequest) (float64, error) {
+	if err := f[req.Claim]; err != nil {
+		return 0, err
+	}
+	return 0.5, nil
+}
+
+// TestCalibrateFailingModel: when calls fail, Calibrate reports the
+// failure a sequential pass would have hit first, and leaves the
+// normalizer's moments untouched and unfrozen.
+func TestCalibrateFailingModel(t *testing.T) {
+	ctx := context.Background()
+	triples := datasetTriples(t, 20)
+	a := SentenceSplitter(triples[4].Response)[1]
+	b := SentenceSplitter(triples[50].Response)[0]
+	failer := claimFailer{a: errors.New("failure a"), b: errors.New("failure b")}
+	var first error
+	for _, tr := range triples {
+		for _, sentence := range SentenceSplitter(tr.Response) {
+			if err := failer[sentence]; err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	d, err := NewDetector("failing", Config{Models: []slm.Model{slm.Constant{ModelName: "ok", P: 0.7}, failer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.Scaler().(*Normalizer)
+	n.Observe("ok", 0.4)
+	n.Observe("claim-failer", 0.6)
+	before, _ := n.Moments("ok")
+	err = d.Calibrate(ctx, triples)
+	if !errors.Is(err, first) || !strings.Contains(err.Error(), "claim-failer") {
+		t.Fatalf("Calibrate err = %v, want %v naming model claim-failer", err, first)
+	}
+	if after, _ := n.Moments("ok"); after != before {
+		t.Fatalf("failed Calibrate changed moments: %+v -> %+v", before, after)
+	}
+	if n.Frozen() {
+		t.Fatal("failed Calibrate froze the normalizer")
 	}
 }

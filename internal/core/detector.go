@@ -7,7 +7,9 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/parallel"
 	"repro/internal/slm"
 	"repro/internal/splitter"
 )
@@ -310,28 +312,51 @@ func (d *Detector) assemble(sentences []string, raw [][]float64) (Verdict, error
 // Calibrate runs the detector's models over the given triples purely to
 // accumulate normalization moments (the "previous responses" of Eq. 4),
 // then freezes the scaler. It is the recommended preparation step
-// before batch evaluation or parallel scoring. Every probability is
-// collected before any is observed, so a failed calibration leaves the
-// scaler untouched and unfrozen.
+// before batch evaluation or parallel scoring. The (triple, sentence,
+// model) calls fan out over GOMAXPROCS workers; their probabilities
+// are observed afterwards in call order, so the moments are exactly
+// those of a sequential pass. Every probability is collected before
+// any is observed, so a failed calibration leaves the scaler untouched
+// and unfrozen, and reports the error of the first failing call in
+// call order.
 func (d *Detector) Calibrate(ctx context.Context, triples []Triple) error {
-	type observation struct {
-		model string
-		p     float64
+	type call struct {
+		t        *Triple
+		sentence string
+		m        slm.Model
 	}
-	var obs []observation
-	for _, t := range triples {
-		for _, sentence := range d.split(t.Response) {
+	var calls []call
+	for i := range triples {
+		for _, sentence := range d.split(triples[i].Response) {
 			for _, m := range d.models {
-				p, err := yesProbability(ctx, m, t.Question, t.Context, sentence)
-				if err != nil {
-					return fmt.Errorf("core: calibrate: %w", err)
-				}
-				obs = append(obs, observation{m.Name(), p})
+				calls = append(calls, call{&triples[i], sentence, m})
 			}
 		}
 	}
-	for _, o := range obs {
-		d.scale.Observe(o.model, o.p)
+	ps := make([]float64, len(calls))
+	errs := make([]error, len(calls))
+	// firstFail is the lowest failed call index so far; calls after it
+	// are skipped, since their results can no longer be used.
+	var firstFail atomic.Int64
+	firstFail.Store(int64(len(calls)))
+	parallel.For(len(calls), func(i int) {
+		if int64(i) > firstFail.Load() {
+			return
+		}
+		c := calls[i]
+		ps[i], errs[i] = yesProbability(ctx, c.m, c.t.Question, c.t.Context, c.sentence)
+		for errs[i] != nil {
+			cur := firstFail.Load()
+			if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
+				break
+			}
+		}
+	})
+	if i := firstFail.Load(); i < int64(len(calls)) {
+		return fmt.Errorf("core: calibrate: %w", errs[i])
+	}
+	for i, c := range calls {
+		d.scale.Observe(c.m.Name(), ps[i])
 	}
 	d.scale.Freeze()
 	return nil

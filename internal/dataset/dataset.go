@@ -4,7 +4,8 @@
 // correct (one hallucinated detail), and wrong (fully contradicting
 // the context). The real dataset came from the Lane Crawford handbook
 // and is proprietary; this generator reproduces its documented
-// structure with synthetic policy facts (see DESIGN.md §1).
+// structure with synthetic policy facts (see docs/architecture.md,
+// "Stand-ins for the paper's models and data").
 package dataset
 
 import (

@@ -52,7 +52,8 @@ func thirdModel() *slm.CalibratedVerifier {
 }
 
 // AblationEnsembleSize varies the number of SLMs in the checker
-// (DESIGN.md §4): one, two (the paper's configuration), three.
+// (docs/architecture.md, "Ablations"): one, two (the paper's
+// configuration), three.
 func (s *Suite) AblationEnsembleSize(ctx context.Context, contrast dataset.Label) ([]AblationRow, error) {
 	cfgs := []struct {
 		key string

@@ -171,7 +171,8 @@ func AnswerPrompt(question, context string) string {
 
 // Generator produces an answer from a question and retrieved context.
 // It stands in for the LLM of Fig. 2 (a) (ChatGPT 3.5 / Llama-2-70b in
-// the paper); see DESIGN.md §1 for the substitution.
+// the paper); see docs/architecture.md, "Stand-ins for the paper's
+// models and data", for the substitution.
 type Generator interface {
 	// Generate returns the response text for the prompt inputs.
 	Generate(question, context string) (string, error)

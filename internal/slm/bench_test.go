@@ -24,15 +24,19 @@ func BenchmarkTransformerStep(b *testing.B) {
 	b.ReportMetric(float64(len(prompt)), "tokens/op")
 }
 
+// BenchmarkYesProbabilityColdCache times one signature-cache miss: the
+// model is built once, outside the timed loop, and every iteration asks
+// about a claim it has not seen.
 func BenchmarkYesProbabilityColdCache(b *testing.B) {
 	ctx := context.Background()
+	m := NewQwen2()
 	r := VerifyRequest{
 		Question: "What are the working hours?",
 		Context:  "The store operates from 9 AM to 5 PM, from Sunday to Saturday.",
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewQwen2() // fresh cache each iteration
 		r.Claim = fmt.Sprintf("The working hours are 9 AM to 5 PM, run %d.", i)
 		if _, err := m.YesProbability(ctx, r); err != nil {
 			b.Fatal(err)
@@ -54,6 +58,21 @@ func BenchmarkYesProbabilityWarmCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.YesProbability(ctx, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHiddenSignature runs the Qwen2 network's signature over the
+// default dataset's verification prompts, the work behind every cold
+// YesProbability call.
+func BenchmarkHiddenSignature(b *testing.B) {
+	net := NewQwen2().net
+	prompts := datasetPrompts(b, net.Tokenizer())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.HiddenSignature(prompts[i%len(prompts)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,8 @@
 // transformer inference engine (tokenizer → embeddings → multi-head
 // attention with KV cache → FFN → logits), and two synthetic verifier
 // backends that stand in for Qwen2-1.5B-Instruct and MiniCPM-2B
-// (see DESIGN.md §1 for the substitution argument).
+// (see docs/architecture.md, "Stand-ins for the paper's models and
+// data", for the substitution argument).
 //
 // Each synthetic model is a deterministic function of its name and its
 // input: the same (question, context, claim) triple always yields the

@@ -143,30 +143,47 @@ func (t *Transformer) Tokenizer() *tokenizer.Tokenizer { return t.tok }
 // A Session is single-goroutine; create one per concurrent decode.
 type Session struct {
 	t *Transformer
-	// kCache/vCache are [layer][pos*Dim] grown as tokens arrive.
+	// kCache/vCache are [layer][pos*Dim], sized for MaxSeq positions
+	// up front; the first pos*Dim entries of each are live.
 	kCache [][]float32
 	vCache [][]float32
 	pos    int
-	// scratch buffers reused across steps.
-	x, xn, q, k, v, attnOut, ffnHid, ffnOut []float32
-	logits                                  []float32
+	// x is the residual stream of the most recently fed position.
+	x []float32
+	// scratch buffers reused across positions.
+	xn, q, attnOut, ffnHid, ffnOut []float32
+	scores                         []float32 // MaxSeq attention weights
+	logits                         []float32
 }
 
-// NewSession creates an empty decoding session.
+// NewSession creates an empty decoding session. Every buffer is carved
+// from one slab, so a session costs a few allocations however many
+// tokens it later consumes.
 func (t *Transformer) NewSession() *Session {
+	cfg := t.cfg
+	kv := cfg.MaxSeq * cfg.Dim
+	slab := make([]float32, 2*cfg.Layers*kv+5*cfg.Dim+cfg.FFNDim+cfg.MaxSeq+cfg.VocabSize)
+	take := func(n int) []float32 {
+		b := slab[:n:n]
+		slab = slab[n:]
+		return b
+	}
+	caches := make([][]float32, 2*cfg.Layers)
+	for i := range caches {
+		caches[i] = take(kv)
+	}
 	return &Session{
 		t:       t,
-		kCache:  make([][]float32, t.cfg.Layers),
-		vCache:  make([][]float32, t.cfg.Layers),
-		x:       make([]float32, t.cfg.Dim),
-		xn:      make([]float32, t.cfg.Dim),
-		q:       make([]float32, t.cfg.Dim),
-		k:       make([]float32, t.cfg.Dim),
-		v:       make([]float32, t.cfg.Dim),
-		attnOut: make([]float32, t.cfg.Dim),
-		ffnHid:  make([]float32, t.cfg.FFNDim),
-		ffnOut:  make([]float32, t.cfg.Dim),
-		logits:  make([]float32, t.cfg.VocabSize),
+		kCache:  caches[:cfg.Layers],
+		vCache:  caches[cfg.Layers:],
+		x:       take(cfg.Dim),
+		xn:      take(cfg.Dim),
+		q:       take(cfg.Dim),
+		attnOut: take(cfg.Dim),
+		ffnOut:  take(cfg.Dim),
+		ffnHid:  take(cfg.FFNDim),
+		scores:  take(cfg.MaxSeq),
+		logits:  take(cfg.VocabSize),
 	}
 }
 
@@ -178,88 +195,108 @@ var ErrSequenceTooLong = errors.New("slm: sequence exceeds MaxSeq")
 
 // Step feeds one token ID and returns the logits for the next token.
 // The returned slice aliases session scratch space and is valid until
-// the next Step.
-func (s *Session) Step(id int) ([]float32, error) {
-	t := s.t
-	cfg := t.cfg
-	if s.pos >= cfg.MaxSeq {
-		return nil, fmt.Errorf("%w (max %d)", ErrSequenceTooLong, cfg.MaxSeq)
-	}
-	if id < 0 || id >= cfg.VocabSize {
-		return nil, fmt.Errorf("slm: token id %d out of vocab range %d", id, cfg.VocabSize)
-	}
-	d := cfg.Dim
-	// Embedding = token + position.
-	copy(s.x, t.tokEmb[id*d:(id+1)*d])
-	addInPlace(s.x, t.posEmb[s.pos*d:(s.pos+1)*d])
+// the next Step or Feed.
+func (s *Session) Step(id int) ([]float32, error) { return s.Feed([]int{id}) }
 
-	headDim := d / cfg.Heads
-	scale := float32(1 / math.Sqrt(float64(headDim)))
-	for l := range t.layers {
-		lw := &t.layers[l]
-		// --- attention sublayer (pre-LN) ---
-		copy(s.xn, s.x)
-		layerNorm(s.xn, lw.ln1g, lw.ln1b, 1e-5)
-		matVec(s.q, lw.wq, s.xn, d, d)
-		matVec(s.k, lw.wk, s.xn, d, d)
-		matVec(s.v, lw.wv, s.xn, d, d)
-		s.kCache[l] = append(s.kCache[l], s.k...)
-		s.vCache[l] = append(s.vCache[l], s.v...)
-		steps := s.pos + 1
-		// Causal attention: the new query attends to all cached keys.
-		for h := 0; h < cfg.Heads; h++ {
-			qh := s.q[h*headDim : (h+1)*headDim]
-			// softmax over `steps` scores.
-			scores := make([]float32, steps)
-			for p := 0; p < steps; p++ {
-				kh := s.kCache[l][p*d+h*headDim : p*d+(h+1)*headDim]
-				scores[p] = dot(qh, kh) * scale
-			}
-			softmaxInPlace(scores)
-			out := s.attnOut[h*headDim : (h+1)*headDim]
-			for i := range out {
-				out[i] = 0
-			}
-			for p := 0; p < steps; p++ {
-				vh := s.vCache[l][p*d+h*headDim : p*d+(h+1)*headDim]
-				w := scores[p]
-				for i := range out {
-					out[i] += w * vh[i]
-				}
-			}
-		}
-		matVec(s.xn, lw.wo, s.attnOut, d, d)
-		addInPlace(s.x, s.xn)
-		// --- FFN sublayer (pre-LN) ---
-		copy(s.xn, s.x)
-		layerNorm(s.xn, lw.ln2g, lw.ln2b, 1e-5)
-		matVec(s.ffnHid, lw.w1, s.xn, cfg.FFNDim, d)
-		addInPlace(s.ffnHid, lw.b1)
-		gelu(s.ffnHid)
-		matVec(s.ffnOut, lw.w2, s.ffnHid, d, cfg.FFNDim)
-		addInPlace(s.ffnOut, lw.b2)
-		addInPlace(s.x, s.ffnOut)
+// Feed consumes a sequence of token IDs in one prefill pass and returns
+// the logits after the final token. The returned slice aliases session
+// scratch space and is valid until the next Step or Feed. The input is
+// validated before any token is consumed, so a failed Feed leaves the
+// session unchanged.
+func (s *Session) Feed(ids []int) ([]float32, error) {
+	if err := s.prefill(ids); err != nil {
+		return nil, err
 	}
-	s.pos++
-	// Final norm + tied output head.
-	copy(s.xn, s.x)
-	layerNorm(s.xn, t.lnFg, t.lnFb, 1e-5)
-	matVec(s.logits, t.tokEmb, s.xn, cfg.VocabSize, d)
-	return s.logits, nil
+	return s.head(), nil
 }
 
-// Feed consumes a sequence of token IDs, returning the logits after the
-// final token.
-func (s *Session) Feed(ids []int) ([]float32, error) {
-	var logits []float32
-	var err error
+// prefill is the engine's only forward pass. It appends every id's keys
+// and values to the cache in every layer and leaves the residual stream
+// of the final position in s.x. Nothing reads a non-final position's
+// last-layer output, so there only its keys and values are computed.
+// Each dot product keeps the accumulation order of a token-by-token
+// pass, so the result is bit-identical to feeding the ids one at a time.
+func (s *Session) prefill(ids []int) error {
+	t := s.t
+	cfg := t.cfg
+	if len(ids) == 0 {
+		return errors.New("slm: empty prompt")
+	}
+	if s.pos+len(ids) > cfg.MaxSeq {
+		return fmt.Errorf("%w (max %d)", ErrSequenceTooLong, cfg.MaxSeq)
+	}
 	for _, id := range ids {
-		logits, err = s.Step(id)
-		if err != nil {
-			return nil, err
+		if id < 0 || id >= cfg.VocabSize {
+			return fmt.Errorf("slm: token id %d out of vocab range %d", id, cfg.VocabSize)
 		}
 	}
-	return logits, nil
+	d := cfg.Dim
+	headDim := d / cfg.Heads
+	scale := float32(1 / math.Sqrt(float64(headDim)))
+	last := len(t.layers) - 1
+	for off, id := range ids {
+		pos := s.pos + off
+		final := off == len(ids)-1
+		// Embedding = token + position.
+		copy(s.x, t.tokEmb[id*d:(id+1)*d])
+		addInPlace(s.x, t.posEmb[pos*d:(pos+1)*d])
+		for l := range t.layers {
+			lw := &t.layers[l]
+			kc := s.kCache[l][:(pos+1)*d]
+			vc := s.vCache[l][:(pos+1)*d]
+			// --- attention sublayer (pre-LN) ---
+			copy(s.xn, s.x)
+			layerNorm(s.xn, lw.ln1g, lw.ln1b, 1e-5)
+			matVec(kc[pos*d:], lw.wk, s.xn, d, d)
+			matVec(vc[pos*d:], lw.wv, s.xn, d, d)
+			if l == last && !final {
+				break
+			}
+			matVec(s.q, lw.wq, s.xn, d, d)
+			// Causal attention: the new query attends to all cached keys.
+			for h := 0; h < cfg.Heads; h++ {
+				qh := s.q[h*headDim : (h+1)*headDim]
+				scores := s.scores[:pos+1]
+				for p := range scores {
+					kh := kc[p*d+h*headDim : p*d+(h+1)*headDim]
+					scores[p] = dot(qh, kh) * scale
+				}
+				softmaxInPlace(scores)
+				out := s.attnOut[h*headDim : (h+1)*headDim]
+				for i := range out {
+					out[i] = 0
+				}
+				for p, w := range scores {
+					vh := vc[p*d+h*headDim : p*d+(h+1)*headDim]
+					for i := range out {
+						out[i] += w * vh[i]
+					}
+				}
+			}
+			matVec(s.xn, lw.wo, s.attnOut, d, d)
+			addInPlace(s.x, s.xn)
+			// --- FFN sublayer (pre-LN) ---
+			copy(s.xn, s.x)
+			layerNorm(s.xn, lw.ln2g, lw.ln2b, 1e-5)
+			matVec(s.ffnHid, lw.w1, s.xn, cfg.FFNDim, d)
+			addInPlace(s.ffnHid, lw.b1)
+			gelu(s.ffnHid)
+			matVec(s.ffnOut, lw.w2, s.ffnHid, d, cfg.FFNDim)
+			addInPlace(s.ffnOut, lw.b2)
+			addInPlace(s.x, s.ffnOut)
+		}
+	}
+	s.pos += len(ids)
+	return nil
+}
+
+// head applies the final norm and the tied output head to s.x.
+func (s *Session) head() []float32 {
+	t := s.t
+	copy(s.xn, s.x)
+	layerNorm(s.xn, t.lnFg, t.lnFb, 1e-5)
+	matVec(s.logits, t.tokEmb, s.xn, t.cfg.VocabSize, t.cfg.Dim)
+	return s.logits
 }
 
 // NextTokenProbs runs the prompt through the model and returns the
@@ -267,9 +304,6 @@ func (s *Session) Feed(ids []int) ([]float32, error) {
 // quantity the paper's Eq. 2 reads the "yes" mass from. The returned
 // slice is freshly allocated.
 func (t *Transformer) NextTokenProbs(promptIDs []int) ([]float32, error) {
-	if len(promptIDs) == 0 {
-		return nil, errors.New("slm: empty prompt")
-	}
 	s := t.NewSession()
 	logits, err := s.Feed(promptIDs)
 	if err != nil {
@@ -344,16 +378,14 @@ func sampleLogits(logits []float32, temperature float64, src *rng.Source) int {
 // giving each synthetic SLM input-correlated idiosyncrasies (see
 // CalibratedVerifier).
 func (t *Transformer) HiddenSignature(promptIDs []int) (float64, error) {
-	if len(promptIDs) == 0 {
-		return 0, errors.New("slm: empty prompt")
-	}
 	// Cap the prompt at MaxSeq by keeping the tail: the claim (the
 	// discriminating part) sits at the end of verification prompts.
 	if len(promptIDs) > t.cfg.MaxSeq {
 		promptIDs = promptIDs[len(promptIDs)-t.cfg.MaxSeq:]
 	}
+	// Only the residual stream is read, so the output head never runs.
 	s := t.NewSession()
-	if _, err := s.Feed(promptIDs); err != nil {
+	if err := s.prefill(promptIDs); err != nil {
 		return 0, err
 	}
 	var acc float64
