@@ -84,6 +84,10 @@ type result struct {
 
 	ScanBytesPerVec  float64 `json:"scan_bytes_per_vector"`
 	TotalBytesPerVec float64 `json:"total_bytes_per_vector"`
+	// SparseRowShare is the share of rows the exact scan reads through
+	// their nonzero mirror (at most dim/2 nonzeros); recallbench's
+	// Gaussian corpus is dense, so it is 0 and omitted there.
+	SparseRowShare float64 `json:"sparse_row_share,omitempty"`
 	// ScanReduction is baseline scan bytes / this config's scan bytes:
 	// how much smaller the per-query working set is than the float path.
 	ScanReduction float64 `json:"scan_reduction_x"`
@@ -212,8 +216,8 @@ func runSweep(n, dim, nq, k, rounds int) *report {
 		r.P99VsBaseline = round3(r.P99Micros / basePrototype.P99Micros)
 		r.ScanReduction = round2(basePrototype.ScanBytesPerVec / r.ScanBytesPerVec)
 		rep.Configs = append(rep.Configs, r)
-		fmt.Printf("  %-16s recall@%d=%.4f p50=%.0fus p99=%.0fus scan=%.0fB/vec build=%.0fms\n",
-			sp.Name, k, r.RecallAtK, r.P50Micros, r.P99Micros, r.ScanBytesPerVec, buildMS)
+		fmt.Printf("  %-16s recall@%d=%.4f p50=%.0fus p99=%.0fus scan=%.0fB/vec sparse=%.2f build=%.0fms\n",
+			sp.Name, k, r.RecallAtK, r.P50Micros, r.P99Micros, r.ScanBytesPerVec, r.SparseRowShare, buildMS)
 	}
 	return rep
 }
@@ -369,6 +373,7 @@ func measure(sp spec, idx vecdb.Index, qs [][]float32, truth [][]int64, k, round
 		nv := float64(m.Vectors)
 		r.ScanBytesPerVec = round2(float64(m.ScanBytes) / nv)
 		r.TotalBytesPerVec = round2(float64(m.TotalBytes()) / nv)
+		r.SparseRowShare = round4(float64(m.SparseRows) / nv)
 	}
 	return r
 }

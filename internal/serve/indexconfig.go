@@ -179,12 +179,7 @@ func (s *ShardedDB) IndexStats() IndexStats {
 	st := IndexStats{Config: s.indexCfg.withDefaults()}
 	for _, sh := range s.shards {
 		if m, ok := sh.IndexMemory(); ok {
-			st.Memory.Vectors += m.Vectors
-			st.Memory.FloatBytes += m.FloatBytes
-			st.Memory.CodeBytes += m.CodeBytes
-			st.Memory.ParamBytes += m.ParamBytes
-			st.Memory.ScanBytes += m.ScanBytes
-			st.Memory.GraphBytes += m.GraphBytes
+			st.Memory = st.Memory.Plus(m)
 		}
 	}
 	return st

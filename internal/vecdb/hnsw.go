@@ -26,7 +26,6 @@ import (
 // candidate beam is re-ranked against the exact float32 rows.
 type HNSWIndex struct {
 	metric Metric
-	dim    int
 	m      int // max links per layer (layer 0 allows 2m)
 	efCons int
 	efSrch int
@@ -61,7 +60,7 @@ func NewHNSWIndexQ(metric Metric, dim, m, efConstruction, efSearch int, q QuantC
 			efConstruction, m, efSearch)
 	}
 	return &HNSWIndex{
-		metric: metric, dim: dim, m: m,
+		metric: metric, m: m,
 		efCons: efConstruction, efSrch: efSearch,
 		entry: -1, levels: map[int64]int{},
 		links: map[int64][][]int64{},
@@ -115,17 +114,18 @@ func (h *HNSWIndex) capacity(layer int) int {
 	return h.m
 }
 
-// Add implements Index. Adding an existing id replaces its vector by
-// delete-and-reinsert.
+// Add implements Index. Adding an existing id replaces its vector in
+// place, unlinks the old node and reinserts it.
 func (h *HNSWIndex) Add(id int64, vec []float32) error {
-	if len(vec) != h.dim {
-		return fmt.Errorf("%w: index dim %d, vector dim %d", ErrDimMismatch, h.dim, len(vec))
+	_, exists := h.rs.pos[id]
+	row, err := h.rs.add(id, vec)
+	if err != nil {
+		return err
 	}
-	if _, exists := h.rs.pos[id]; exists {
-		h.Remove(id)
+	if exists {
+		h.unlink(id)
 	}
 	level := h.randomLevel()
-	row := h.rs.add(id, vec)
 	cp := h.rs.vecs[row]
 	h.levels[id] = level
 	h.links[id] = make([][]int64, level+1)
@@ -177,8 +177,8 @@ func (h *HNSWIndex) greedyStep(start int64, pq *preparedQuery, layer int) int64 
 		improved := false
 		if layer < len(h.links[cur]) {
 			for _, n := range h.links[cur][layer] {
-				if _, ok := h.rs.pos[n]; !ok {
-					continue // dangling in-link from a deletion
+				if !h.onLayer(n, layer) {
+					continue
 				}
 				if s := h.scoreID(n, pq); s > curScore {
 					cur, curScore = n, s
@@ -217,8 +217,8 @@ func (h *HNSWIndex) searchLayer(start int64, pq *preparedQuery, ef, layer int) [
 					continue
 				}
 				visited[n] = true
-				if _, ok := h.rs.pos[n]; !ok {
-					continue // dangling in-link from a deletion
+				if !h.onLayer(n, layer) {
+					continue
 				}
 				s := h.scoreID(n, pq)
 				if len(results) < ef || s > results[0].Score {
@@ -237,6 +237,14 @@ func (h *HNSWIndex) searchLayer(start int64, pq *preparedQuery, ef, layer int) [
 		out[i] = r.ID
 	}
 	return out
+}
+
+// onLayer reports whether node n is in the graph at layer. An in-link
+// can outlive its target's presence there: deletion leaves
+// one-directional in-links dangling, and a replaced node may be
+// re-inserted at a lower level than the links pointing at it.
+func (h *HNSWIndex) onLayer(n int64, layer int) bool {
+	return layer < len(h.links[n])
 }
 
 func (h *HNSWIndex) neighboursAt(id int64, layer int) []int64 {
@@ -324,6 +332,14 @@ func (h *HNSWIndex) Remove(id int64) bool {
 	if _, ok := h.rs.pos[id]; !ok {
 		return false
 	}
+	h.unlink(id)
+	h.rs.remove(id)
+	return true
+}
+
+// unlink drops id from the graph: out of its neighbours' lists, its own
+// level and links, and the entry point.
+func (h *HNSWIndex) unlink(id int64) {
 	for l, neigh := range h.links[id] {
 		for _, n := range neigh {
 			// A neighbour re-inserted at a lower level (or already
@@ -341,7 +357,6 @@ func (h *HNSWIndex) Remove(id int64) bool {
 			}
 		}
 	}
-	h.rs.remove(id)
 	delete(h.levels, id)
 	delete(h.links, id)
 	if h.entry == id {
@@ -355,7 +370,6 @@ func (h *HNSWIndex) Remove(id int64) bool {
 			}
 		}
 	}
-	return true
 }
 
 // Search implements Index. On a quantized index the beam is widened to
@@ -365,16 +379,16 @@ func (h *HNSWIndex) Search(query []float32, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, ErrBadK
 	}
-	if len(query) != h.dim {
-		return nil, fmt.Errorf("%w: index dim %d, query dim %d", ErrDimMismatch, h.dim, len(query))
-	}
 	if err := validMetric(h.metric); err != nil {
+		return nil, err
+	}
+	pq, err := h.rs.prepareQuery(query)
+	if err != nil {
 		return nil, err
 	}
 	if h.entry == -1 {
 		return nil, nil
 	}
-	pq := h.rs.prepare(query)
 	cur := h.entry
 	for l := h.maxLevel; l > 0; l-- {
 		cur = h.greedyStep(cur, &pq, l)

@@ -118,11 +118,8 @@ func (x *FlatIndex) Memory() IndexMemory { return x.rs.memory() }
 
 // Add implements Index.
 func (x *FlatIndex) Add(id int64, vec []float32) error {
-	if len(vec) != x.rs.dim {
-		return fmt.Errorf("%w: index dim %d, vector dim %d", ErrDimMismatch, x.rs.dim, len(vec))
-	}
-	x.rs.add(id, vec)
-	return nil
+	_, err := x.rs.add(id, vec)
+	return err
 }
 
 // Remove implements Index using swap-with-last deletion.
@@ -141,13 +138,13 @@ func (x *FlatIndex) Search(query []float32, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, ErrBadK
 	}
-	if len(query) != x.rs.dim {
-		return nil, fmt.Errorf("%w: index dim %d, query dim %d", ErrDimMismatch, x.rs.dim, len(query))
-	}
 	if err := validMetric(x.metric); err != nil {
 		return nil, err
 	}
-	pq := x.rs.prepare(query)
+	pq, err := x.rs.prepareQuery(query)
+	if err != nil {
+		return nil, err
+	}
 	if !x.rs.quantized() {
 		h := make(resultHeap, 0, k)
 		x.rs.scanInto(&h, k, x.metric, &pq)
@@ -324,14 +321,13 @@ func (x *IVFIndex) Add(id int64, vec []float32) error {
 	if !x.trained {
 		return ErrNotTrained
 	}
-	if len(vec) != x.dim {
-		return fmt.Errorf("%w: index dim %d, vector dim %d", ErrDimMismatch, x.dim, len(vec))
+	if _, err := x.rs.add(id, vec); err != nil {
+		return err
 	}
-	if _, ok := x.membership[id]; ok {
-		x.Remove(id)
+	if old, ok := x.membership[id]; ok {
+		x.unlist(old, id)
 	}
 	c := x.nearestCentroid(vec)
-	x.rs.add(id, vec)
 	x.membership[id] = c
 	x.lists[c] = append(x.lists[c], id)
 	return nil
@@ -343,17 +339,22 @@ func (x *IVFIndex) Remove(id int64) bool {
 	if !ok {
 		return false
 	}
+	x.unlist(c, id)
+	x.rs.remove(id)
+	delete(x.membership, id)
+	return true
+}
+
+// unlist drops id from cluster c's list.
+func (x *IVFIndex) unlist(c int, id int64) {
 	list := x.lists[c]
 	for i, v := range list {
 		if v == id {
 			list[i] = list[len(list)-1]
 			x.lists[c] = list[:len(list)-1]
-			break
+			return
 		}
 	}
-	x.rs.remove(id)
-	delete(x.membership, id)
-	return true
 }
 
 // Len implements Index.
@@ -367,10 +368,11 @@ func (x *IVFIndex) Search(query []float32, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, ErrBadK
 	}
-	if len(query) != x.dim {
-		return nil, fmt.Errorf("%w: index dim %d, query dim %d", ErrDimMismatch, x.dim, len(query))
-	}
 	if err := validMetric(x.metric); err != nil {
+		return nil, err
+	}
+	pq, err := x.rs.prepareQuery(query)
+	if err != nil {
 		return nil, err
 	}
 	// Rank centroids by score.
@@ -387,7 +389,6 @@ func (x *IVFIndex) Search(query []float32, k int) ([]Result, error) {
 		order[c] = cs{c: c, s: s}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].s > order[j].s })
-	pq := x.rs.prepare(query)
 	depth := k
 	if x.rs.quantized() {
 		depth = x.rs.quant.rerankDepth(k)

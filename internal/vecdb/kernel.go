@@ -1,8 +1,11 @@
 package vecdb
 
-// Scan kernels for the quantized hot path. The asymmetric distance
-// (float32 query vs int8 stored codes) reduces every metric to one
-// integer dot product per stored vector:
+// Scan kernels: the int8 kernels of the quantized hot path, and
+// sparseDot, the exact scan over a row's nonzeros (at the end).
+//
+// The quantized path's asymmetric distance (float32 query vs int8
+// stored codes) reduces every metric to one integer dot product per
+// stored vector:
 //
 //	v̂[d] = offset + scale·code[d]            (per-vector affine dequant)
 //	⟨q,v̂⟩ = qscale·scale·Σ qc[d]·code[d] + offset·Σ q[d]
@@ -115,4 +118,25 @@ func minMax(v []float32) (mn, mx float32) {
 		}
 	}
 	return mn, mx
+}
+
+// sparseEntry is one nonzero coordinate of a stored row's mirror.
+type sparseEntry struct {
+	idx int32
+	val float32
+}
+
+// sparseDot returns Σ qd[e.idx]·e.val over a row's nonzeros in
+// ascending index order, where qd[i] = float64(q[i]). For finite
+// inputs it has the same bits as dotProduct(q, row): each float32
+// product is exact in float64, so the row's skipped zeros would only
+// have added ±0, and adding ±0 never changes a sum that starts at +0
+// (round-to-nearest yields −0 only from −0 + −0, so the sum is never
+// −0). Exact products also make an FMA-fused and an unfused loop agree.
+func sparseDot(qd []float64, row []sparseEntry) float64 {
+	var acc float64
+	for _, e := range row {
+		acc += qd[e.idx] * float64(e.val)
+	}
+	return acc
 }
